@@ -231,6 +231,10 @@ def count_transform_chunk(
 
 # -- K-means assignment ----------------------------------------------------------------
 
+#: One block's result: assignments, sparse partial keys and sums, per-cluster
+#: counts, inertia (see :func:`_assign_block`).
+BlockResult = tuple[list[int], np.ndarray, np.ndarray, np.ndarray, float]
+
 
 def init_kmeans_worker(
     indices: list[np.ndarray], values: list[np.ndarray], sq_norms: list[float]
@@ -271,15 +275,17 @@ def init_kmeans_worker_shm(matrix_descriptor, channel_descriptor, bounds) -> Non
 
 def assign_chunk(
     task: tuple[int, int, np.ndarray, np.ndarray]
-) -> tuple[list[int], np.ndarray, np.ndarray, float]:
+) -> BlockResult:
     """Assign documents ``[start, stop)`` to their nearest centroid.
 
     ``task`` carries the block bounds plus the iteration's centroids and
     centroid squared norms (the only per-iteration data). Returns the
-    block's assignments, its partial centroid accumulator, per-cluster
-    counts and inertia contribution. Blocks are worker-independent, and
-    the caller merges partials in fixed block order, so the floating-point
-    result does not depend on the backend or worker count.
+    block's assignments, its sparse partial centroid accumulator (flat
+    ``cluster * V + term`` keys and their sums, see :func:`_assign_block`),
+    per-cluster counts and inertia contribution. Blocks are
+    worker-independent, and the caller merges partials in fixed block
+    order, so the floating-point result does not depend on the backend or
+    worker count.
     """
     start, stop, centroids, centroid_sq_norms = task
     indices, values, sq_norms = _STATE["kmeans"]
@@ -307,7 +313,7 @@ def init_kmeans_worker_tiled(manifest, memory_budget) -> None:
 
 def assign_chunk_tiled(
     task: tuple[int, int, np.ndarray, np.ndarray]
-) -> tuple[list[int], np.ndarray, np.ndarray, float]:
+) -> BlockResult:
     """Tile-streaming :func:`assign_chunk`: fetch the block, then assign.
 
     The block's per-document index/value views and precomputed squared
@@ -326,7 +332,7 @@ def assign_chunk_tiled(
 
 def assign_block_span(
     task: tuple[int, int, int]
-) -> list[tuple[list[int], np.ndarray, np.ndarray, float]]:
+) -> list[BlockResult]:
     """Assign a span of blocks against broadcast centroids (shm path).
 
     ``task`` is a constant-size token ``(first_block, last_block,
@@ -357,11 +363,26 @@ def _assign_block(
     indices,
     values,
     sq_norms,
-) -> tuple[list[int], np.ndarray, np.ndarray, float]:
-    K = centroids.shape[0]
-    partial = np.zeros_like(centroids)
+) -> BlockResult:
+    """Assign documents ``[start, stop)``; return the block's sparse partial.
+
+    Returns ``(assignments, keys, sums, counts, inertia)``. The partial
+    centroid accumulator is sparse: ``keys`` are the sorted unique flat
+    coordinates ``cluster * V + term`` the block touched, ``sums`` their
+    accumulated values, so a result costs O(block nnz), not O(K·V).
+    Each coordinate's contributions are added to ``0.0`` in document
+    order, exactly as a dense ``partial[best, idx] += val`` loop would;
+    scattering ``sums`` into a zeroed K×V buffer therefore reproduces the
+    dense partial bit for bit (untouched coordinates only ever received
+    ``+0.0``). The kernel keeps no state between calls, so concurrent
+    blocks on a thread pool cannot interfere.
+    """
+    K, V = centroids.shape
     counts = np.zeros(K, dtype=np.int64)
     assignments: list[int] = []
+    # Typed empty heads: an empty block concatenates to empty int64 keys.
+    touched = [np.empty(0, dtype=np.int64)]
+    added = [np.empty(0, dtype=np.float64)]
     inertia = 0.0
     for doc in range(start, stop):
         idx = indices[doc]
@@ -374,6 +395,11 @@ def _assign_block(
         best = int(np.argmin(distances))
         assignments.append(best)
         inertia += float(max(0.0, distances[best]))
-        partial[best, idx] += val
+        touched.append(idx + best * V)
+        added.append(val)
         counts[best] += 1
-    return assignments, partial, counts, inertia
+    keys, slots = np.unique(np.concatenate(touched), return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.float64)
+    # Unbuffered, in element order: each coordinate sums in document order.
+    np.add.at(sums, slots, np.concatenate(added))
+    return assignments, keys, sums, counts, inertia

@@ -733,14 +733,17 @@ class KMeansOperator:
             block_results = run_iteration(centroids, centroid_sq_norms)
 
             # Merge in fixed block order (deterministic float grouping).
+            # Each block's sparse partial scatters into the coordinates it
+            # touched; the rest would only have received +0.0.
             merged = np.zeros_like(centroids)
+            flat = merged.reshape(-1)
             merged_counts = np.zeros(K, dtype=np.int64)
             inertia = 0.0
-            for (start, _), (block_assign, partial, counts, block_inertia) in zip(
+            for (start, _), (block_assign, keys, sums, counts, block_inertia) in zip(
                 bounds, block_results
             ):
                 assignments[start : start + len(block_assign)] = block_assign
-                merged += partial
+                flat[keys] += sums
                 merged_counts += counts
                 inertia += block_inertia
             inertia_history.append(inertia)

@@ -13,7 +13,10 @@ shm-setup fixed costs, per-task overhead — and two ways to obtain them:
   :func:`~repro.ops.kernels.transform_chunk`,
   :func:`~repro.ops.kernels._assign_block`) and pickles the actual
   payloads they would ship, so the constants are measured in the same
-  units the run will spend them in.
+  units the run will spend them in. A k-means block returns a sparse
+  partial (one key and one sum per distinct cluster/term pair it
+  touched), so its result bytes per document track the documents'
+  nonzeros, not K×V, and carry over from the probe's sample to the run.
 * :meth:`CalibrationStore.observe_run` — feedback from a traced run
   (:meth:`~repro.exec.spans.RunTrace.phase_totals` for worker-side
   compute, :class:`~repro.exec.shm.IpcStats` snapshots for exact byte

@@ -153,15 +153,17 @@ class TiledCsrMatrix:
         while row < stop:
             index = self._reader.tile_index_for_row(row)
             meta = self.manifest.tiles[index]
-            view = self._reader.tile(index)
+            # Thread-backend k-means blocks share this reader: take the
+            # arrays atomically so a concurrent eviction cannot null them.
+            indptr, indices, data, sq_norms = self._reader.tile_arrays(index)
             local_stop = min(stop, meta.row_start + meta.n_rows)
             for doc in range(row, local_stop):
                 local = doc - meta.row_start
-                lo = int(view.indptr[local])
-                hi = int(view.indptr[local + 1])
-                doc_indices.append(view.indices[lo:hi])
-                doc_values.append(view.data[lo:hi])
-                norms[doc - start] = view.sq_norms[local]
+                lo = int(indptr[local])
+                hi = int(indptr[local + 1])
+                doc_indices.append(indices[lo:hi])
+                doc_values.append(data[lo:hi])
+                norms[doc - start] = sq_norms[local]
             row = local_stop
         return doc_indices, doc_values, norms
 

@@ -31,6 +31,7 @@ import itertools
 import os
 import shutil
 import tempfile
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -119,7 +120,10 @@ class TileReader:
     ``memory_budget`` bounds the *pinned* (currently mapped) tile bytes;
     ``None`` means map-and-keep everything. Safe to build in any process
     that can see the spill directory — closing a reader only unmaps, it
-    never deletes files.
+    never deletes files. One reader may serve several threads (a thread
+    backend's k-means blocks share it): opening and evicting happen under
+    a lock, and :meth:`tile_arrays` hands out arrays that stay readable
+    after another thread evicts their tile.
     """
 
     def __init__(
@@ -140,38 +144,55 @@ class TileReader:
         self.evictions = 0
         self.reads = 0
         self.read_bytes = 0
+        self._lock = threading.RLock()
+
+    def tile_arrays(self, index: int) -> tuple[np.ndarray, ...]:
+        """``(indptr, indices, data, sq_norms)`` of tile ``index``.
+
+        Taken together under the reader's lock. Evicting the tile later
+        drops the view's references only; the mapping lives on until
+        these arrays are released.
+        """
+        with self._lock:
+            view = self.tile(index)
+            return view.indptr, view.indices, view.data, view.sq_norms
 
     def tile(self, index: int) -> tile_format.TileView:
-        """The mapped view of tile ``index``, opening (and evicting) as needed."""
-        view = self._open.get(index)
-        if view is not None:
-            # Refresh LRU position (dict preserves insertion order).
-            del self._open[index]
+        """The mapped view of tile ``index``, opening (and evicting) as needed.
+
+        Another thread's open may evict the returned view while it is
+        read; concurrent readers use :meth:`tile_arrays`.
+        """
+        with self._lock:
+            view = self._open.get(index)
+            if view is not None:
+                # Refresh LRU position (dict preserves insertion order).
+                del self._open[index]
+                self._open[index] = view
+                return view
+            meta = self.manifest.tiles[index]
+            view = tile_format.open_tile(self.manifest.path(meta), verify=self.verify)
+            if (
+                view.header.row_start != meta.row_start
+                or view.header.n_rows != meta.n_rows
+                or view.header.nnz != meta.nnz
+                or view.header.checksum != meta.checksum
+            ):
+                view.close()
+                raise TileError(
+                    f"{self.manifest.path(meta)}: header does not match manifest"
+                )
             self._open[index] = view
+            self.pinned_bytes += meta.nbytes
+            self.reads += 1
+            self.read_bytes += meta.nbytes
+            if self._stats is not None:
+                self._stats.record_tile_read(meta.nbytes)
+            if self.memory_budget is not None:
+                while self.pinned_bytes > self.memory_budget and len(self._open) > 1:
+                    self._evict_lru(keep=index)
+            self.peak_pinned_bytes = max(self.peak_pinned_bytes, self.pinned_bytes)
             return view
-        meta = self.manifest.tiles[index]
-        view = tile_format.open_tile(self.manifest.path(meta), verify=self.verify)
-        if (
-            view.header.row_start != meta.row_start
-            or view.header.n_rows != meta.n_rows
-            or view.header.nnz != meta.nnz
-            or view.header.checksum != meta.checksum
-        ):
-            view.close()
-            raise TileError(
-                f"{self.manifest.path(meta)}: header does not match manifest"
-            )
-        self._open[index] = view
-        self.pinned_bytes += meta.nbytes
-        self.reads += 1
-        self.read_bytes += meta.nbytes
-        if self._stats is not None:
-            self._stats.record_tile_read(meta.nbytes)
-        if self.memory_budget is not None:
-            while self.pinned_bytes > self.memory_budget and len(self._open) > 1:
-                self._evict_lru(keep=index)
-        self.peak_pinned_bytes = max(self.peak_pinned_bytes, self.pinned_bytes)
-        return view
 
     def _evict_lru(self, keep: int) -> None:
         for victim in self._open:
@@ -207,10 +228,11 @@ class TileReader:
         }
 
     def close(self) -> None:
-        views, self._open = self._open, {}
+        with self._lock:
+            views, self._open = self._open, {}
+            self.pinned_bytes = 0
         for view in views.values():
             view.close()
-        self.pinned_bytes = 0
 
 
 class TileStore:

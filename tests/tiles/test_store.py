@@ -10,12 +10,15 @@ directories on any exit path — the repo-wide conftest guard watches
 from __future__ import annotations
 
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.errors import TileError
 from repro.tiles import SPILL_PREFIX, TileStore
+from repro.tiles.matrix import TiledCsrMatrix
 
 
 def _tile_arrays(n_rows, n_cols=16, seed=0):
@@ -180,6 +183,39 @@ class TestReaderBudget:
             assert reader.reads == 4
         finally:
             store.close()
+
+    def test_concurrent_block_reads_survive_evictions(self):
+        # A thread backend's k-means blocks share one reader. With a budget
+        # below one tile, every open evicts the tiles other threads read.
+        store = TileStore()
+        manifest = _fill(store, tiles=6, rows_per_tile=4)
+        reference = TiledCsrMatrix.from_manifest(manifest)
+        shared = TiledCsrMatrix.from_manifest(manifest, memory_budget=1)
+        want_idx, want_val, want_norms = reference.block_arrays(0, 24)
+
+        def sweep(first):
+            for _ in range(40):
+                for start in range(first, 24, 5):
+                    idx, val, norms = shared.block_arrays(start, 24)
+                    assert norms.tolist() == want_norms[start:].tolist()
+                    for ours, theirs in zip(idx, want_idx[start:]):
+                        assert ours.tolist() == theirs.tolist()
+                    for ours, theirs in zip(val, want_val[start:]):
+                        assert ours.tolist() == theirs.tolist()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(sweep, first) for first in range(4)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            shared.close()
+            reference.close()
+            store.close()
+        assert shared._reader.evictions > 0
 
     def test_tile_index_for_row(self):
         store = TileStore()
